@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
+#include <optional>
 
+#include "common/thread_pool.hpp"
 #include "core/experiment.hpp"
 #include "stats/descriptive.hpp"
 
@@ -43,6 +46,20 @@ Result<LeagueTable> RunLeague(const LeagueConfig& config) {
     auto resolved = policies.Resolve(spec);
     if (!resolved.ok()) return resolved.error();
   }
+  // The league pool is the only thread setting: a mining.parallel width
+  // would be ignored, so it is refused rather than dropped silently.
+  if (config.mining.parallel.num_threads != 0) {
+    return Error{.code = ErrorCode::kInvalidArgument,
+                 .message = "league mining runs on the league pool: set "
+                            "num_threads, not mining.parallel.num_threads"};
+  }
+  if (config.num_threads > kMaxLeagueThreads) {
+    return Error{.code = ErrorCode::kInvalidArgument,
+                 .message = "league num_threads " +
+                            std::to_string(config.num_threads) +
+                            " exceeds the limit of " +
+                            std::to_string(kMaxLeagueThreads)};
+  }
   std::vector<trace::ScenarioSpec> scenario_specs;
   scenario_specs.reserve(config.scenarios.size());
   for (const std::string& spec : config.scenarios) {
@@ -54,8 +71,19 @@ Result<LeagueTable> RunLeague(const LeagueConfig& config) {
     scenario_specs.push_back(s);
   }
 
+  // One pool for the whole league: each row's mining pass and its policy
+  // cells fan out on it. Rows stay sequential, so at most one scenario's
+  // trace and mining output are alive at a time.
+  const std::size_t num_threads = config.num_threads == 0
+                                      ? ThreadPool::DefaultThreads()
+                                      : config.num_threads;
+  std::unique_ptr<ThreadPool> owned_pool;
+  if (num_threads > 1) owned_pool = std::make_unique<ThreadPool>(num_threads);
+  ThreadPool* pool = owned_pool.get();
+
+  const std::size_t num_policies = config.policies.size();
   LeagueTable table;
-  table.cells.reserve(config.policies.size() * config.scenarios.size());
+  table.cells.resize(num_policies * scenario_specs.size());
   for (std::size_t si = 0; si < scenario_specs.size(); ++si) {
     const trace::SyntheticWorkload workload =
         trace::GenerateScenario(scenario_specs[si]);
@@ -67,7 +95,7 @@ Result<LeagueTable> RunLeague(const LeagueConfig& config) {
     // One mining pass per scenario, shared by every dependency-guided
     // policy in the row.
     auto mined = core::MineDependencies(workload.trace, workload.model, train,
-                                        config.mining);
+                                        config.mining, nullptr, pool);
     if (!mined.ok()) return mined.error();
     const core::MiningOutput mining = std::move(mined).value();
 
@@ -77,16 +105,23 @@ Result<LeagueTable> RunLeague(const LeagueConfig& config) {
     context.train = train;
     context.mining = &mining;
 
-    for (const std::string& spec : config.policies) {
+    // Cell pi of the row writes only slot si * P + pi (or its error
+    // slot), so the table is the serial loop's at any thread count. The
+    // first failure in policy order is the one the serial loop returns.
+    std::vector<std::optional<Error>> errors(num_policies);
+    ParallelFor(pool, num_policies, [&](std::size_t pi) {
+      const std::string& spec = config.policies[pi];
       auto built = policies.Build(context, spec);
-      if (!built.ok()) return built.error();
+      if (!built.ok()) {
+        errors[pi] = built.error();
+        return;
+      }
       const std::unique_ptr<policy::SchedulingPolicy> policy =
           std::move(built).value();
-
       const sim::SimulationResult result =
           sim::Simulate(workload.trace, eval, *policy, config.sim_options);
 
-      LeagueCell cell;
+      LeagueCell& cell = table.cells[si * num_policies + pi];
       cell.policy = spec;
       cell.scenario = config.scenarios[si];
       cell.policy_name = policy->name();
@@ -104,7 +139,9 @@ Result<LeagueTable> RunLeague(const LeagueConfig& config) {
       cell.p99_cold_latency_ms = sim::LatencyPercentileMs(result, 0.99);
       cell.avg_loads_per_minute = result.AverageLoadingFunctions();
       cell.triggered_prewarms = result.triggered_prewarms;
-      table.cells.push_back(std::move(cell));
+    });
+    for (std::optional<Error>& error : errors) {
+      if (error.has_value()) return std::move(*error);
     }
   }
   return table;

@@ -4,7 +4,8 @@
 // A league run is deterministic end to end: scenarios are pure
 // functions of (spec, seed), mining is deterministic, registry
 // factories are deterministic, and the simulator is deterministic —
-// the arena test suite pins reruns bit-identical for seeds 0–9.
+// the arena test suite pins reruns bit-identical for seeds 0–9, and
+// the rendered table byte-identical across worker thread counts.
 //
 // Per-cell metrics (the league table columns):
 //   * event_cold_fraction   — cold invocation events / all events;
@@ -18,6 +19,7 @@
 //   * avg_loads_per_minute  — scheduler overhead (Fig 9 proxy).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -41,9 +43,20 @@ struct LeagueConfig {
   std::uint32_t num_users = 0;
   MinuteDelta horizon_minutes = 0;
   /// Mining configuration shared by every dependency-guided policy.
+  /// Mining runs on the league's pool, so `mining.parallel.num_threads`
+  /// must stay 0; RunLeague rejects any other value.
   core::DefuseConfig mining;
   sim::SimulatorOptions sim_options;
+  /// Worker threads for each scenario row's mining pass and policy
+  /// cells. 0 = ThreadPool::DefaultThreads() (all cores), 1 = inline
+  /// serial with no pool; above kMaxLeagueThreads is rejected. Every
+  /// accepted value yields the same table.
+  std::size_t num_threads = 0;
 };
+
+/// Upper bound on LeagueConfig::num_threads. A row runs one cell per
+/// policy at a time, so a larger pool could only idle.
+inline constexpr std::size_t kMaxLeagueThreads = 256;
 
 struct LeagueCell {
   std::string policy;    // the spec string
@@ -68,7 +81,11 @@ struct LeagueTable {
 
 /// Runs the full cross product. All specs are validated up front, so a
 /// typo fails fast instead of after the first scenario's mining run.
-/// kInvalidArgument names the offending spec token.
+/// kInvalidArgument names the offending spec token, or the thread
+/// setting out of range (see LeagueConfig::num_threads). Scenarios run one
+/// after another; a scenario's policy cells run concurrently. A failing
+/// cell or mining pass returns the first error in scenario-major,
+/// policy-minor order — the one a serial loop would stop at.
 [[nodiscard]] Result<LeagueTable> RunLeague(const LeagueConfig& config);
 
 /// CSV rendering (header + one row per cell), for the CLI `arena` verb.

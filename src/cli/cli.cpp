@@ -70,6 +70,8 @@ commands:
              --scenarios "x,y,..."  scenario specs (default: all named
                                     scenarios)
              --seed N (42)  --users N  --days N  scenario scale
+             --threads N (0 = all cores, at most 256; any N is
+                          byte-identical)
              --out FILE     also write the CSV to a file
   policies   list registered scheduling policies and their param schemas
   scenarios  list named workload scenarios and their param schemas
@@ -807,13 +809,15 @@ int CmdArena(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   const auto seed = flags.GetInt("seed", 42);
   const auto users = flags.GetInt("users", 0);
   const auto days = flags.GetInt("days", 0);
-  if (!seed.ok() || !users.ok() || !days.ok() || users.value() < 0 ||
-      days.value() < 0) {
+  const auto threads = flags.GetInt("threads", 0);
+  if (!seed.ok() || !users.ok() || !days.ok() || !threads.ok() ||
+      users.value() < 0 || days.value() < 0 || threads.value() < 0) {
     err << "error: malformed numeric flag\n";
     return 1;
   }
 
   arena::LeagueConfig config;
+  config.num_threads = static_cast<std::size_t>(threads.value());
   config.seed = static_cast<std::uint64_t>(seed.value());
   config.num_users = static_cast<std::uint32_t>(users.value());
   config.horizon_minutes = days.value() * kMinutesPerDay;

@@ -68,18 +68,24 @@ Result<MiningOutput> MineDependencies(
     const trace::InvocationTrace& trace, const trace::WorkloadModel& model,
     TimeRange train, const DefuseConfig& config,
     const mining::DeltaMiningInput* delta_input) {
-  if (const char* violation = ValidateDefuseConfig(config)) {
-    return Error{ErrorCode::kInvalidArgument,
-                 std::string{"MineDependencies: "} + violation};
-  }
-
   // One pool for the whole call; nullptr keeps every stage inline, so the
   // serial path is the parallel path with the fan-out compiled away.
   std::unique_ptr<ThreadPool> owned_pool;
   if (config.parallel.enabled()) {
     owned_pool = std::make_unique<ThreadPool>(config.parallel.num_threads);
   }
-  ThreadPool* pool = owned_pool.get();
+  return MineDependencies(trace, model, train, config, delta_input,
+                          owned_pool.get());
+}
+
+Result<MiningOutput> MineDependencies(
+    const trace::InvocationTrace& trace, const trace::WorkloadModel& model,
+    TimeRange train, const DefuseConfig& config,
+    const mining::DeltaMiningInput* delta_input, ThreadPool* pool) {
+  if (const char* violation = ValidateDefuseConfig(config)) {
+    return Error{ErrorCode::kInvalidArgument,
+                 std::string{"MineDependencies: "} + violation};
+  }
 
   graph::DependencyGraph graph{model.num_functions()};
   MiningOutput output{.graph = std::move(graph),

@@ -28,6 +28,10 @@
 #include "trace/invocation_trace.hpp"
 #include "trace/model.hpp"
 
+namespace defuse {
+class ThreadPool;
+}
+
 namespace defuse::core {
 
 struct DefuseConfig {
@@ -131,6 +135,16 @@ struct MiningOutput {
     const trace::InvocationTrace& trace, const trace::WorkloadModel& model,
     TimeRange train, const DefuseConfig& config,
     const mining::DeltaMiningInput* delta_input);
+
+/// The entry point both overloads above forward to: mines on a pool the
+/// caller owns instead of one sized by `config.parallel`, which this
+/// overload ignores. A null `pool` runs every stage inline. Lets a caller
+/// that already holds a pool (the arena league) mine without spawning a
+/// second one; the output is bit-identical for any pool size.
+[[nodiscard]] Result<MiningOutput> MineDependencies(
+    const trace::InvocationTrace& trace, const trace::WorkloadModel& model,
+    TimeRange train, const DefuseConfig& config,
+    const mining::DeltaMiningInput* delta_input, ThreadPool* pool);
 
 /// Stage 3: builds the dependency-set-granularity scheduler, with every
 /// set's idle-time histogram seeded from the training window.

@@ -109,12 +109,13 @@ void DeltaAccumulator::Ingest(FunctionId fn, Minute minute,
   assert(fn.value() < runs_.size());
   assert(minute >= ingest_watermark_ && "delta ingest must be monotonic");
   assert(minute >= sealed_end_ && "cannot ingest into a sealed minute");
+  assert(trace::FitsEventMinute(minute));
   ingest_watermark_ = minute;
   auto& run = runs_[fn.value()];
   if (!run.empty() && run.back().minute == minute) {
     run.back().count += count;
   } else {
-    run.push_back({minute, count});
+    run.push_back({static_cast<std::int32_t>(minute), count});
   }
 }
 
@@ -186,7 +187,8 @@ void DeltaAccumulator::RebuildFromTrace(const trace::InvocationTrace& trace,
         [](const trace::InvocationEvent& e, Minute m) { return e.minute < m; });
     runs_[fn].assign(it, series.end());
     if (!runs_[fn].empty()) {
-      ingest_watermark_ = std::max(ingest_watermark_, runs_[fn].back().minute);
+      ingest_watermark_ =
+          std::max<Minute>(ingest_watermark_, runs_[fn].back().minute);
     }
   }
   store_begin_ = begin;
@@ -307,14 +309,16 @@ bool DeltaAccumulator::Deserialize(std::string_view text) {
         return false;
       }
       // Events below store_begin would desync eviction accounting; a
-      // count of zero or overflow would desync seal/unseal arithmetic.
-      if (minute < begin || count <= 0 ||
+      // count of zero or overflow would desync seal/unseal arithmetic; a
+      // minute past the 32-bit event range would be truncated.
+      if (minute < begin || !trace::FitsEventMinute(minute) || count <= 0 ||
           count > static_cast<std::int64_t>(
                       std::numeric_limits<std::uint32_t>::max())) {
         return false;
       }
       if (!run.empty() && run.back().minute >= minute) return false;
-      run.push_back({minute, static_cast<std::uint32_t>(count)});
+      run.push_back({static_cast<std::int32_t>(minute),
+                     static_cast<std::uint32_t>(count)});
       watermark = std::max(watermark, static_cast<Minute>(minute));
     }
     if (run.empty()) return false;  // "run,<fn>" with no events

@@ -241,6 +241,7 @@ SyntheticWorkload GenerateWorkload(const GeneratorConfig& cfg) {
   }
 
   trace.Finalize();
+  trace.ShrinkToFit();
 
   // Per-function memory weights, lognormal with mean exactly 1 when
   // sigma = 0 and approximately 1 otherwise (mu = -sigma^2/2).

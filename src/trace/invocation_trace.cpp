@@ -2,11 +2,25 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace defuse::trace {
 
 InvocationTrace::InvocationTrace(std::size_t num_functions, TimeRange horizon)
-    : series_(num_functions), horizon_(horizon) {}
+    : series_(num_functions), horizon_(horizon) {
+  // Add() narrows minutes to 32 bits, which is exact only inside this
+  // horizon; checked in every build because an assert would compile out
+  // and let a long horizon silently wrap.
+  if (!FitsEventHorizon(horizon)) {
+    std::fprintf(stderr,
+                 "defuse: fatal: trace horizon [%lld, %lld) exceeds the "
+                 "32-bit event minute range\n",
+                 static_cast<long long>(horizon.begin),
+                 static_cast<long long>(horizon.end));
+    std::abort();
+  }
+}
 
 void InvocationTrace::Add(FunctionId fn, Minute minute, std::uint32_t count) {
   assert(fn.value() < series_.size());
@@ -19,7 +33,8 @@ void InvocationTrace::Add(FunctionId fn, Minute minute, std::uint32_t count) {
     return;
   }
   if (!s.empty() && s.back().minute > minute) finalized_ = false;
-  s.push_back(InvocationEvent{.minute = minute, .count = count});
+  s.push_back(InvocationEvent{.minute = static_cast<std::int32_t>(minute),
+                              .count = count});
 }
 
 void InvocationTrace::Finalize() {
@@ -41,6 +56,10 @@ void InvocationTrace::Finalize() {
     s.resize(out);
   }
   finalized_ = true;
+}
+
+void InvocationTrace::ShrinkToFit() {
+  for (auto& s : series_) s.shrink_to_fit();
 }
 
 std::span<const InvocationEvent> InvocationTrace::series(

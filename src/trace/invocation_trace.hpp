@@ -4,9 +4,15 @@
 // invocations per minute. Stored sparsely (one (minute, count) event per
 // active minute per function) because most functions are idle most of the
 // time — the dataset's motivating observation.
+//
+// An event is 8 bytes: a 32-bit minute and a 32-bit count. Every trace's
+// horizon must lie inside the 32-bit minute range (about 4000 years of
+// minutes), which the constructor enforces in every build; readers of
+// outside input reject out-of-range minutes before they get here.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -16,12 +22,29 @@
 namespace defuse::trace {
 
 struct InvocationEvent {
-  Minute minute = 0;
+  std::int32_t minute = 0;
   std::uint32_t count = 0;
 
   friend constexpr bool operator==(const InvocationEvent&,
                                    const InvocationEvent&) noexcept = default;
 };
+static_assert(sizeof(InvocationEvent) == 8);
+
+/// The minutes an InvocationEvent can hold.
+inline constexpr Minute kMinEventMinute =
+    std::numeric_limits<std::int32_t>::min();
+inline constexpr Minute kMaxEventMinute =
+    std::numeric_limits<std::int32_t>::max();
+
+[[nodiscard]] constexpr bool FitsEventMinute(Minute minute) noexcept {
+  return minute >= kMinEventMinute && minute <= kMaxEventMinute;
+}
+
+/// True when every minute of `horizon` fits an InvocationEvent.
+[[nodiscard]] constexpr bool FitsEventHorizon(TimeRange horizon) noexcept {
+  return horizon.empty() ||
+         (FitsEventMinute(horizon.begin) && FitsEventMinute(horizon.end - 1));
+}
 
 /// Per-minute invocation index over a time range: for each minute in the
 /// range, the list of (function, count) pairs with count > 0. This is the
@@ -48,7 +71,8 @@ class MinuteIndex {
 
 class InvocationTrace {
  public:
-  /// An empty trace for `num_functions` functions over `horizon`.
+  /// An empty trace for `num_functions` functions over `horizon`. Aborts
+  /// unless FitsEventHorizon(horizon): a minute must never be truncated.
   InvocationTrace(std::size_t num_functions, TimeRange horizon);
 
   /// Records `count` invocations of `fn` at `minute`. Counts at the same
@@ -58,6 +82,12 @@ class InvocationTrace {
 
   /// Sorts and coalesces all per-function series. Idempotent.
   void Finalize();
+
+  /// Releases the spare capacity push_back growth left in every series
+  /// (up to half of it). One copy of the whole trace, so it is for traces
+  /// that are built once and then only read (generator and reader
+  /// output), not for a live history that keeps growing.
+  void ShrinkToFit();
 
   [[nodiscard]] std::size_t num_functions() const noexcept {
     return series_.size();

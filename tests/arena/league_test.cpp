@@ -2,12 +2,14 @@
 // competitor rides on.
 //
 // The headline arena guarantee: every policy×scenario cell is
-// bit-identical across reruns for seeds 0–9 (the CSV rendering is
-// compared byte-for-byte, so every metric in every cell is pinned).
+// bit-identical across reruns and across worker thread counts for seeds
+// 0–9 (the CSV rendering is compared byte-for-byte, so every metric in
+// every cell is pinned).
 #include "arena/league.hpp"
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -35,6 +37,59 @@ TEST(League, RerunsAreBitIdenticalForSeeds0To9) {
     EXPECT_EQ(RenderLeagueCsv(a.value()), RenderLeagueCsv(b.value()))
         << "seed " << seed;
   }
+}
+
+TEST(League, CsvIsByteIdenticalAcrossThreadCountsForSeeds0To9) {
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    auto config = TinyConfig(seed);
+    config.num_threads = 1;
+    auto serial = RunLeague(config);
+    ASSERT_TRUE(serial.ok()) << "seed " << seed << ": "
+                             << serial.error().message;
+    const std::string expected = RenderLeagueCsv(serial.value());
+    for (const std::size_t threads : {2u, 4u}) {
+      config.num_threads = threads;
+      auto parallel = RunLeague(config);
+      ASSERT_TRUE(parallel.ok()) << "seed " << seed << ", " << threads
+                                 << " threads: " << parallel.error().message;
+      EXPECT_EQ(RenderLeagueCsv(parallel.value()), expected)
+          << "seed " << seed << ", " << threads << " threads";
+    }
+  }
+}
+
+TEST(League, MiningFailureIsTheSameErrorAtEveryThreadCount) {
+  auto config = TinyConfig(1);
+  // Passes spec validation; fails in the first scenario's mining pass.
+  config.mining.universe_stride = config.mining.universe_window + 1;
+  config.num_threads = 1;
+  auto serial = RunLeague(config);
+  ASSERT_FALSE(serial.ok());
+  EXPECT_EQ(serial.error().code, ErrorCode::kInvalidArgument);
+  for (const std::size_t threads : {2u, 4u}) {
+    config.num_threads = threads;
+    auto parallel = RunLeague(config);
+    ASSERT_FALSE(parallel.ok()) << threads << " threads";
+    EXPECT_EQ(parallel.error().code, serial.error().code);
+    EXPECT_EQ(parallel.error().message, serial.error().message);
+  }
+}
+
+TEST(League, RejectsThreadSettingsItWouldIgnoreOrCouldNotUse) {
+  // Both are refused up front, before a pool or a scenario exists.
+  auto config = TinyConfig(1);
+  config.num_threads = kMaxLeagueThreads + 1;
+  auto too_many = RunLeague(config);
+  ASSERT_FALSE(too_many.ok());
+  EXPECT_EQ(too_many.error().code, ErrorCode::kInvalidArgument);
+
+  config = TinyConfig(1);
+  config.mining.parallel.num_threads = 4;
+  auto second_knob = RunLeague(config);
+  ASSERT_FALSE(second_knob.ok());
+  EXPECT_EQ(second_knob.error().code, ErrorCode::kInvalidArgument);
+  EXPECT_NE(second_knob.error().message.find("mining.parallel"),
+            std::string::npos);
 }
 
 TEST(League, CellsCoverTheCrossProductScenarioMajor) {

@@ -195,6 +195,34 @@ TEST_F(CliTest, SimulateTrainDaysValidation) {
             1);
 }
 
+TEST_F(CliTest, ArenaThreadsFlagKeepsTheTableByteIdentical) {
+  const std::vector<std::string> league{
+      "arena",       "--policies",   "fixed,hybrid:set,hiku",
+      "--scenarios", "flat_poisson", "--users",
+      "4",           "--days",       "2"};
+  auto serial_args = league;
+  serial_args.insert(serial_args.end(), {"--threads", "1"});
+  const auto serial = RunDefuse(serial_args);
+  ASSERT_EQ(serial.code, 0) << serial.err;
+  auto parallel_args = league;
+  parallel_args.insert(parallel_args.end(), {"--threads", "3"});
+  const auto parallel = RunDefuse(parallel_args);
+  ASSERT_EQ(parallel.code, 0) << parallel.err;
+  EXPECT_EQ(parallel.out, serial.out);
+
+  auto bad_args = league;
+  bad_args.insert(bad_args.end(), {"--threads", "-1"});
+  EXPECT_EQ(RunDefuse(bad_args).code, 1);
+
+  // Refused before any worker starts, not handed to the thread pool.
+  auto huge_args = league;
+  huge_args.insert(huge_args.end(), {"--threads", "100000"});
+  const auto huge = RunDefuse(huge_args);
+  EXPECT_EQ(huge.code, 1);
+  EXPECT_NE(huge.err.find("exceeds the limit of 256"), std::string::npos)
+      << huge.err;
+}
+
 TEST_F(CliTest, SweepEmitsCsvRows) {
   Generate();
   const auto r =

@@ -343,6 +343,19 @@ TEST(DeltaAccumulator, SerializeRoundTripsByteForByte) {
   }
 }
 
+TEST(DeltaAccumulator, DeserializeRejectsMinutePastTheEventRange) {
+  Fixture fx;
+  DeltaAccumulator acc{fx.model, DeltaMineConfig{true, 8}, 1};
+  // The last minute an 8-byte event holds loads; one past it (2^31) is
+  // corrupt, never truncated.
+  ASSERT_TRUE(acc.Deserialize(
+      "delta-accumulator-v1\nmeta,0,0,-1,0,1\nrun,0,2147483647:1\nend\n"));
+  const std::string before = acc.Serialize();
+  EXPECT_FALSE(acc.Deserialize(
+      "delta-accumulator-v1\nmeta,0,0,-1,0,1\nrun,0,2147483648:1\nend\n"));
+  EXPECT_EQ(acc.Serialize(), before);
+}
+
 TEST(DeltaAccumulator, DeserializeRejectsMalformedInputUnchanged) {
   Fixture fx;
   DeltaAccumulator donor{fx.model, DeltaMineConfig{true, 8}, 1};

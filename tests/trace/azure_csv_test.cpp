@@ -81,6 +81,31 @@ TEST(LongCsv, RejectsHorizonShorterThanTrace) {
   EXPECT_EQ(loaded.error().code, ErrorCode::kOutOfRange);
 }
 
+TEST(LongCsv, RejectsMinutePastTheEventRange) {
+  // 2^31 - 1 is the last minute an 8-byte event holds.
+  const auto last =
+      ReadLongCsv("user,app,function,minute,count\nu,a,f,2147483647,1\n");
+  ASSERT_TRUE(last.ok()) << last.error().ToString();
+  EXPECT_EQ(last.value().trace.series(FunctionId{0})[0].minute, 2147483647);
+
+  const std::string past =
+      "user,app,function,minute,count\nu,a,f,2147483648,1\nu,a,g,4,1\n";
+  const auto strict = ReadLongCsv(past);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.error().code, ErrorCode::kInvalidArgument);
+
+  ParseReport report;
+  const auto lenient = ReadLongCsv(past, 0, ParseMode::kLenient, &report);
+  ASSERT_TRUE(lenient.ok());
+  EXPECT_EQ(report.rows_skipped, 1u);
+  EXPECT_EQ(lenient.value().model.num_functions(), 1u);
+
+  const auto horizon = ReadLongCsv("user,app,function,minute,count\n",
+                                   MinuteDelta{1} << 32);
+  ASSERT_FALSE(horizon.ok());
+  EXPECT_EQ(horizon.error().code, ErrorCode::kInvalidArgument);
+}
+
 TEST(LongCsv, SameFunctionNameInDifferentAppsStaysDistinct) {
   const std::string csv =
       "user,app,function,minute,count\n"

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 namespace defuse::trace {
@@ -53,6 +54,41 @@ TEST(InvocationTrace, FinalizeIsIdempotent) {
   trace.Finalize();
   trace.Finalize();
   EXPECT_EQ(trace.series(kF0).size(), 2u);
+}
+
+TEST(InvocationTrace, ShrinkToFitKeepsEverySeries) {
+  InvocationTrace trace{2, TimeRange{0, 1000}};
+  for (Minute t = 0; t < 1000; t += 3) trace.Add(kF0, t, 2);
+  trace.Add(FunctionId{1}, 7);
+  trace.Finalize();
+  const std::vector<InvocationEvent> before(trace.series(kF0).begin(),
+                                            trace.series(kF0).end());
+  trace.ShrinkToFit();
+  EXPECT_TRUE(std::equal(before.begin(), before.end(),
+                         trace.series(kF0).begin(), trace.series(kF0).end()));
+  ASSERT_EQ(trace.series(FunctionId{1}).size(), 1u);
+  EXPECT_EQ(trace.series(FunctionId{1})[0].minute, 7);
+}
+
+TEST(InvocationTrace, EventsAreEightBytes) {
+  EXPECT_EQ(sizeof(InvocationEvent), 8u);
+  EXPECT_TRUE(FitsEventHorizon(TimeRange{0, kMaxEventMinute + 1}));
+  EXPECT_FALSE(FitsEventHorizon(TimeRange{0, kMaxEventMinute + 2}));
+  EXPECT_FALSE(FitsEventHorizon(TimeRange{kMinEventMinute - 1, 0}));
+}
+
+TEST(InvocationTrace, LastEventMinuteIsKeptExactly) {
+  InvocationTrace trace{1, TimeRange{0, kMaxEventMinute + 1}};
+  trace.Add(kF0, kMaxEventMinute, 3);
+  trace.Finalize();
+  ASSERT_EQ(trace.series(kF0).size(), 1u);
+  EXPECT_EQ(trace.series(kF0)[0].minute, kMaxEventMinute);
+}
+
+TEST(InvocationTraceDeathTest, HorizonPastTheEventRangeAborts) {
+  // Checked in every build type: a minute must never be truncated.
+  EXPECT_DEATH(InvocationTrace(1, TimeRange{0, kMaxEventMinute + 2}),
+               "32-bit event minute range");
 }
 
 TEST(InvocationTrace, SeriesInRangeClipsBothEnds) {

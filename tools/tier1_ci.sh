@@ -4,27 +4,31 @@
 #   tools/tier1_ci.sh [build-dir]                # default: build-ci
 #
 #   1. configure + build everything
-#   2. run the full ctest suite (tier-1 correctness)
-#   3. run the durability/chaos suites in isolation (`ctest -L
+#   2. compile the library tree at -DCMAKE_BUILD_TYPE=Release (-O3 raises
+#      warnings, such as GCC 12's -Wrestrict, that RelWithDebInfo does
+#      not; src/ builds with -Werror, so they would break a release build)
+#   3. run the full ctest suite (tier-1 correctness)
+#   4. run the durability/chaos suites in isolation (`ctest -L
 #      durability`) so a fault-injection regression is named, not buried
-#   4. run the serving suite in isolation (`ctest -L serving`): wire
+#   5. run the serving suite in isolation (`ctest -L serving`): wire
 #      protocol, transports, the replay<->serve determinism bridge,
 #      async re-mining, network chaos
-#   5. run the multi-shard suite in isolation (`ctest -L shard`): hash
+#   6. run the multi-shard suite in isolation (`ctest -L shard`): hash
 #      ring, router failure isolation, supervised recovery, live
 #      drain/handoff, the sharded determinism bridge, router-leg fuzz
-#   6. run the delta-mining suite in isolation (`ctest -L delta`): the
+#   7. run the delta-mining suite in isolation (`ctest -L delta`): the
 #      streaming-accumulator layers and the differential suite proving
 #      incremental == full rebuild bit-identically at every boundary
-#   7. run the policy-arena suite in isolation (`ctest -L arena`):
+#   8. run the policy-arena suite in isolation (`ctest -L arena`):
 #      spec-grammar rejection sweep, registry-vs-direct construction
 #      byte-identity, scenario determinism, league rerun bit-identity
-#   8. run the chaos soak gate (tools/tier1_soak.sh): seeds 0-9 of
+#      and serial/parallel byte-identity
+#   9. run the chaos soak gate (tools/tier1_soak.sh): seeds 0-9 of
 #      retrying traffic under injected faults — including the
 #      shard-kill soak — time-bounded, counters to BENCH_soak.json
-#   9. run the static-analysis gate (tools/tier1_lint.sh): defuse-lint
+#  10. run the static-analysis gate (tools/tier1_lint.sh): defuse-lint
 #      must report zero findings, plus clang-tidy when installed
-#  10. run the ASan+UBSan chaos pass (tools/tier1_sanitize.sh)
+#  11. run the ASan+UBSan chaos pass (tools/tier1_sanitize.sh)
 #
 # Any step failing fails the script (set -e), which is the CI contract:
 # green means buildable, correct, crash-safe, lint-clean, and
@@ -37,6 +41,12 @@ SRC_DIR="$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)"
 echo "== configure + build =="
 cmake -B "$BUILD_DIR" -S "$SRC_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$(nproc 2>/dev/null || echo 4)"
+
+echo "== Release compile (library tree, -Werror) =="
+cmake -B "$BUILD_DIR-release" -S "$SRC_DIR" -DCMAKE_BUILD_TYPE=Release \
+  -DDEFUSE_BUILD_TESTS=OFF -DDEFUSE_BUILD_BENCHMARKS=OFF \
+  -DDEFUSE_BUILD_EXAMPLES=OFF
+cmake --build "$BUILD_DIR-release" -j "$(nproc 2>/dev/null || echo 4)"
 
 echo "== tier-1 tests =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc 2>/dev/null || echo 4)"

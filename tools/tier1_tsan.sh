@@ -32,12 +32,15 @@ cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
 # path hands the worker a self-contained MaterializeWindow/BuildInput
 # copy, and the differential suite drives that handoff at every
 # boundary.
+# test_arena rides along for the league: each scenario row's mining pass
+# and policy cells share one worker pool, every cell writing its own
+# table slot.
 cmake --build "$BUILD_DIR" -j \
   --target test_common test_mining test_core test_platform \
-  test_durability test_serving test_router test_delta test_lint
+  test_durability test_serving test_router test_delta test_arena test_lint
 
 for t in test_common test_mining test_core test_platform test_durability \
-    test_serving test_delta; do
+    test_serving test_delta test_arena; do
   echo "== $t (TSan) =="
   "$BUILD_DIR/tests/$t"
 done
